@@ -191,12 +191,7 @@ impl DurableSentry {
         // and shedding here would diverge from the uninterrupted run.
         inner.set_governing(false);
         let mut pending_raise: Vec<Incident> = Vec::new();
-        for (i, event) in recovered
-            .events()
-            .enumerate()
-            .skip(report.checkpoint_events as usize)
-        {
-            let _ = i;
+        for event in recovered.events().skip(report.checkpoint_events as usize) {
             pending_raise.extend(inner.ingest(event));
             report.replayed_events += 1;
             if report.replayed_events.is_multiple_of(REPLAY_POLL_EVERY) {
@@ -248,6 +243,12 @@ impl DurableSentry {
             self.journal.append_incident(incident)?;
         }
         Ok(raised)
+    }
+
+    /// Whether the engine holds windows still owed a verdict (see
+    /// [`Sentry::has_outstanding`]).
+    pub fn has_outstanding(&self) -> bool {
+        self.inner.has_outstanding()
     }
 
     /// Classifies everything queued or in flight; raised incidents are

@@ -436,6 +436,13 @@ impl Sentry {
         new
     }
 
+    /// Whether the engine holds windows still owed a verdict — queued,
+    /// in flight or held for reordering — so a [`poll`](Self::poll)
+    /// would make progress.
+    pub fn has_outstanding(&self) -> bool {
+        !self.mux.is_idle()
+    }
+
     /// Current verdict staleness: ingest-clock events elapsed since the
     /// oldest submitted window still awaiting its verdict (0 when
     /// nothing is outstanding). This — not queue depth — is what the

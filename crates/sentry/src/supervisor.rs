@@ -126,9 +126,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Service-loop tuning.
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Engine rounds: poll after this many ingested events.
+    /// Engine rounds under sustained traffic: poll after this many
+    /// events ingested back to back. Whenever the bus runs dry with
+    /// windows outstanding the loop polls anyway, so this bounds
+    /// engine lag only while events keep arriving.
     pub poll_every: u64,
-    /// How long one loop iteration blocks waiting for bus traffic.
+    /// How long the loop blocks waiting for bus traffic. It blocks
+    /// only when the engine has nothing outstanding; with windows owed
+    /// a verdict it runs engine rounds instead of waiting.
     pub recv_timeout: Duration,
     /// Optional per-event hook, called before each ingest. The chaos
     /// harness injects panics here to exercise the supervision path.
@@ -160,18 +165,28 @@ pub struct ServiceOutcome {
     /// the event being processed; the rest of the batch survives in
     /// the supervisor-held queue.
     pub events_lost_to_panic: u64,
+    /// Engine rounds run, across all incarnations, because the bus was
+    /// empty while windows were outstanding.
+    pub idle_polls: u64,
 }
 
 /// The supervised ingest/pump/poll loop over a durable sentry.
 ///
 /// Each incarnation opens a fresh [`DurableSentry`] under
 /// `durable.dir` — recovering journal + checkpoint state left by its
-/// predecessor — then pulls events off `bus`, ingests, and polls every
-/// [`poll_every`](ServiceConfig::poll_every) events until `stop` is
-/// raised *and* the bus has gone quiet, at which point it drains,
-/// checkpoints, and returns. A panic anywhere in the body (including
-/// the ingest hook) is caught by the supervisor and the next
-/// incarnation picks up from disk.
+/// predecessor — then pulls events off `bus` and ingests them, polling
+/// every [`poll_every`](ServiceConfig::poll_every) events while they
+/// keep coming. The loop is work-conserving: once its queue is empty
+/// and the engine has windows outstanding, it takes whatever the bus
+/// holds without blocking and, if that is nothing, runs one engine
+/// round (counted in [`ServiceOutcome::idle_polls`]) and goes around
+/// again. It blocks for up to
+/// [`recv_timeout`](ServiceConfig::recv_timeout) only when nothing is
+/// outstanding. A verdict therefore waits on the engine, not on the
+/// next event or checkpoint. When `stop` is raised *and* the bus has
+/// gone quiet, the incarnation drains, checkpoints, and returns. A
+/// panic anywhere in the body (including the ingest hook) is caught by
+/// the supervisor and the next incarnation picks up from disk.
 ///
 /// The pull queue lives *outside* the supervised body, so a panic
 /// forfeits at most the one event being processed (typed and counted
@@ -199,6 +214,7 @@ pub fn run_service(
     let mut pending: VecDeque<crate::event::ProcessEvent> = VecDeque::new();
     let mut popped = 0u64;
     let mut applied = 0u64;
+    let mut idle_polls = 0u64;
     let (outcome, report) = supervise(policy, |_attempt| {
         let run = (|| -> Result<ServiceOutcome, JournalError> {
             let mut sentry = DurableSentry::open(make_engine(), config.clone(), durable.clone())?;
@@ -207,7 +223,16 @@ pub fn run_service(
             loop {
                 let refilled = if pending.is_empty() {
                     buf.clear();
-                    let n = bus.recv_into(&mut buf, service.recv_timeout);
+                    let n = if sentry.has_outstanding() {
+                        let n = bus.drain_into(&mut buf);
+                        if n == 0 {
+                            sentry.poll()?;
+                            idle_polls += 1;
+                        }
+                        n
+                    } else {
+                        bus.recv_into(&mut buf, service.recv_timeout)
+                    };
                     pending.extend(buf.drain(..));
                     n
                 } else {
@@ -237,6 +262,7 @@ pub fn run_service(
                 stats: sentry.sentry().stats(),
                 durable_events: sentry.durable_events(),
                 events_lost_to_panic: popped - applied,
+                idle_polls,
             })
         })();
         match run {

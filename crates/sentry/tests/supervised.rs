@@ -11,8 +11,8 @@ use std::time::Duration;
 use csd_accel::{CsdInferenceEngine, OptimizationLevel};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_sentry::{
-    run_service, ActionKind, DurableConfig, EventBus, ProcessEvent, Sentry, SentryConfig,
-    ServiceConfig, SupervisorPolicy,
+    run_service, ActionKind, DurableConfig, EventBus, EventKind, Journal, JournalConfig,
+    ProcessEvent, Sentry, SentryConfig, ServiceConfig, SupervisorPolicy,
 };
 
 const VOCAB: usize = 16;
@@ -218,6 +218,93 @@ fn supervised_loop_without_chaos_matches_the_oracle_exactly() {
     let outcome = outcome.expect("completed");
     assert_eq!(outcome.events_lost_to_panic, 0);
     assert_eq!(outcome.stats.events, events.len() as u64);
+    assert_eq!(keys(&outcome.incidents), expect, "exact incident parity");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn idle_bus_with_outstanding_windows_still_reaches_a_verdict() {
+    // One process from the interleaved workload whose windows alert on
+    // their own. It never exits, so no session end flushes it either.
+    let all = workload(5, 32);
+    let oracle = |events: &[ProcessEvent]| {
+        let mut s = Sentry::new(engine(), config());
+        s.ingest_all(events);
+        s.drain();
+        keys(s.incidents())
+    };
+    let (events, expect) = (500..505)
+        .map(|pid| {
+            let events: Vec<ProcessEvent> = all
+                .iter()
+                .filter(|e| e.pid == pid && e.kind != EventKind::Exit)
+                .cloned()
+                .collect();
+            let expect = oracle(&events);
+            (events, expect)
+        })
+        .find(|(_, expect)| !expect.is_empty())
+        .expect("some process alerts on its own");
+
+    let dir = tmpdir("idle");
+    let bus = EventBus::new(8192);
+    let producer = bus.producer();
+    let stop = Arc::new(AtomicBool::new(false));
+
+    // Sends the process, then keeps the bus quiet with `stop` low until
+    // the incident is durable in the journal. A loop that advances the
+    // engine only on event count or at the final drain never gets there.
+    let watcher = {
+        let stop = Arc::clone(&stop);
+        let journal = dir.join("journal.log");
+        let copy_dir = tmpdir("idle-copy");
+        std::thread::spawn(move || {
+            for e in events {
+                assert!(producer.send(e));
+            }
+            std::fs::create_dir_all(&copy_dir).expect("copy dir");
+            let copy = copy_dir.join("journal.log");
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            let mut seen = false;
+            while !seen && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+                if std::fs::copy(&journal, &copy).is_ok() {
+                    let (_, recovered) =
+                        Journal::open(&copy, JournalConfig::default()).expect("journal copy");
+                    seen = recovered.incidents().next().is_some();
+                }
+            }
+            stop.store(true, Ordering::SeqCst);
+            let _ = std::fs::remove_dir_all(&copy_dir);
+            seen
+        })
+    };
+
+    let mut durable = DurableConfig::new(&dir);
+    durable.checkpoint_every_events = 0;
+    let service = ServiceConfig {
+        poll_every: u64::MAX,
+        ..ServiceConfig::default()
+    };
+    let (outcome, report) = run_service(
+        &SupervisorPolicy::default(),
+        engine,
+        &config(),
+        &durable,
+        &service,
+        &bus,
+        &stop,
+    )
+    .expect("journal healthy");
+    let seen = watcher.join().expect("watcher");
+
+    assert!(
+        seen,
+        "the incident must be journaled while the bus is idle, before stop"
+    );
+    assert_eq!(report.panics, 0);
+    let outcome = outcome.expect("completed");
+    assert!(outcome.idle_polls > 0, "engine rounds ran on an idle bus");
     assert_eq!(keys(&outcome.incidents), expect, "exact incident parity");
     let _ = std::fs::remove_dir_all(&dir);
 }
