@@ -10,12 +10,18 @@
 //! tier it runs inside `StreamMux::tick_into`. The bookkeeping group
 //! drives a real mux with one-item windows: every tick retires and
 //! refills the full lane block, so admission, retirement, latency-ring
-//! and buffer-pool work dominate the measurement.
+//! and buffer-pool work dominate the measurement. The sharded-round
+//! group times one coordinator round of `ShardedStreamMux` — a
+//! single `tick_into` at a fixed in-flight load, and a full `drain` —
+//! at 1 and 2 shards, so the round's thread handoff has a number.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use csd_accel::{CsdInferenceEngine, OptimizationLevel, StreamMux, StreamMuxConfig};
+use csd_accel::{
+    CsdInferenceEngine, OptimizationLevel, ShardedStreamMux, StealPolicy, StreamMux,
+    StreamMuxConfig,
+};
 use csd_nn::{ModelConfig, ModelWeights, SequenceClassifier};
 use csd_tensor::lanes;
 
@@ -158,10 +164,84 @@ fn bench_bookkeeping(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_sharded_round(c: &mut Criterion) {
+    const LANES: usize = 16;
+    const WINDOW: usize = 100;
+    let model = SequenceClassifier::new(ModelConfig::paper(), 51);
+    let weights = ModelWeights::from_model(&model);
+    let engine = CsdInferenceEngine::new(&weights, OptimizationLevel::FixedPoint);
+    let window = |k: usize, len: usize| -> Vec<usize> {
+        (0..len).map(|i| (i * 131 + k * 97 + 13) % VOCAB).collect()
+    };
+    let sharded = |shards: usize| {
+        ShardedStreamMux::new(
+            engine.clone(),
+            StreamMuxConfig {
+                lanes: Some(LANES),
+                shards: Some(shards),
+                steal: Some(StealPolicy::Deterministic),
+                ..StreamMuxConfig::default()
+            },
+        )
+    };
+    let mut group = c.benchmark_group("mux_hot/sharded_round");
+    for shards in [1usize, 2] {
+        // Steady state: `load` windows stay in flight, each retirement
+        // refilled with a fresh full-length window. Staggered first
+        // lengths spread the retirements across ticks.
+        for load in [8usize, 32] {
+            group.throughput(Throughput::Elements(load as u64));
+            group.bench_with_input(
+                BenchmarkId::new(format!("tick_{shards}shard"), load),
+                &load,
+                |b, &load| {
+                    let mut mux = sharded(shards);
+                    for k in 0..load {
+                        mux.submit(k as u64, 0, &window(k, 1 + k * WINDOW / load));
+                    }
+                    let full = window(0, WINDOW);
+                    let mut next = load as u64;
+                    let mut out = Vec::with_capacity(load);
+                    b.iter(|| {
+                        out.clear();
+                        mux.tick_into(&mut out);
+                        for _ in 0..out.len() {
+                            mux.submit(next, 0, &full);
+                            next += 1;
+                        }
+                        black_box(&mut out);
+                    })
+                },
+            );
+        }
+        // A burst of 512 full-length windows drained to idle.
+        let burst: Vec<Vec<usize>> = (0..512).map(|k| window(k, WINDOW)).collect();
+        group.throughput(Throughput::Elements(burst.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new(format!("drain_{shards}shard"), burst.len()),
+            &shards,
+            |b, &shards| {
+                let mut mux = sharded(shards);
+                let mut out = Vec::with_capacity(burst.len());
+                b.iter(|| {
+                    for (k, w) in burst.iter().enumerate() {
+                        mux.submit(k as u64, 0, w);
+                    }
+                    out.clear();
+                    mux.drain_into(&mut out);
+                    black_box(&mut out);
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_activations,
     bench_state_update,
-    bench_bookkeeping
+    bench_bookkeeping,
+    bench_sharded_round
 );
 criterion_main!(benches);

@@ -19,7 +19,7 @@
 //! | Ablations (activation / scale / CUs / P2P / model) | — | `ablation_*` |
 //! | Fused hot path vs seed serial path | `exp_fused` | `fused_vs_unfused` |
 //! | Lane-batched engine vs PR 1 batch path | `exp_throughput` | — |
-//! | Stream mux vs per-PID serial monitors | `exp_streaming` | — |
+//! | Stream mux vs per-PID serial monitors | `exp_streaming` | `mux_hot` (`sharded_round`) |
 //! | Two-tier cascade vs exact-only mux | `exp_cascade` | `mux_hot` |
 
 #![forbid(unsafe_code)]

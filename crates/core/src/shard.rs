@@ -7,35 +7,46 @@
 //! host core, not the engine, is the ceiling. [`ShardedStreamMux`]
 //! splits the lane block into `N` shard-owned muxes — one per
 //! [`WorkerPool`] worker — and advances every *loaded* shard in
-//! parallel via [`WorkerPool::scatter_scoped`]. The 0-ULP contract is
-//! untouched: each shard runs the same lane kernels on the same
-//! windows, so every verdict is still bit-identical to serial
+//! parallel via [`WorkerPool::scatter_scoped`] wherever the work covers
+//! the handoff: during [`drain`](ShardedStreamMux::drain)'s multi-tick
+//! bursts. A one-tick round (one 16-lane tick is ≈10 µs of kernel work,
+//! a pool fork/join ≈35 µs on a 2-core host) runs every loaded shard on
+//! the coordinator thread instead. The 0-ULP contract is untouched:
+//! each shard runs the same lane kernels on the same windows, so every
+//! verdict is still bit-identical to serial
 //! [`classify`](CsdInferenceEngine::classify).
 //!
 //! # Admission, routing, and stealing
 //!
 //! Admission is coordinator-mediated: [`submit`](ShardedStreamMux::submit)
 //! applies the global backpressure bound, assigns the window a global
-//! sequence number, and routes it to the least-loaded shard
-//! (deterministic tie-break: lowest index). Producers on other threads
-//! use a [`StreamInjector`] instead — a clone-cheap handle over
-//! per-shard lock-free MPSC [`AdmissionQueue`]s
+//! sequence number, and routes it *fill-first*: to the lowest-index
+//! shard with a free lane (pending + in-flight below its width). Only
+//! when every shard is at or above width does routing fall back to the
+//! least-loaded shard (ties to the lowest index). Low load therefore
+//! packs into one shard and costs one lane sweep per round, not `N`
+//! half-empty ones; routing stays deterministic either way. Producers
+//! on other threads use a [`StreamInjector`] instead — a clone-cheap
+//! handle over per-shard lock-free MPSC [`AdmissionQueue`]s
 //! (hash-routed by stream id) whose pushes never block or lock; the
 //! coordinator drains every inbox at each tick round and admits through
-//! the same backpressure/sequence path.
+//! the same backpressure/sequence/routing path.
 //!
 //! Load drifts as windows of different lengths retire, so between tick
-//! rounds the coordinator *rebalances*: while some shard has free lane
-//! capacity and another holds pending work at least two loads above it,
-//! one pending window moves from the loaded shard's queue tail (its
+//! rounds the coordinator *rebalances* overflow: while some shard has
+//! free lane capacity and another holds more windows than it has lanes
+//! (work that cannot start on its next tick) at least two loads above
+//! it, one pending window moves from the loaded shard's queue tail (its
 //! FIFO head — the oldest, most latency-burdened work — stays put) to
-//! the idle one. Stealing happens only at round boundaries on the
-//! coordinator thread, never mid-tick between shard threads, which is
-//! what makes it reproducible: under [`StealPolicy::Deterministic`]
-//! victims are chosen by (max load, lowest index) and the whole
-//! schedule is a pure function of the submission sequence; under
-//! [`StealPolicy::Seeded`] victim choice draws from a seeded splitmix64
-//! stream — different interleavings, same seed → same run.
+//! the idle one. A shard whose load fits its lanes is never robbed, so
+//! the rebalancer does not undo fill-first packing. Stealing happens
+//! only at round boundaries on the coordinator thread, never mid-tick
+//! between shard threads, which is what makes it reproducible: under
+//! [`StealPolicy::Deterministic`] victims are chosen by (max load,
+//! lowest index) and the whole schedule is a pure function of the
+//! submission sequence; under [`StealPolicy::Seeded`] victim choice
+//! draws from a seeded splitmix64 stream — different interleavings,
+//! same seed → same run.
 //!
 //! # Per-stream order
 //!
@@ -83,6 +94,8 @@ impl Default for StealPolicy {
 /// Ticks each loaded shard advances per scatter during `drain`: large
 /// enough to amortize the pool's scatter overhead over real kernel
 /// work, small enough that rebalance and inbox drains stay responsive.
+/// Only these bursts are scattered to the pool; a one-tick round is too
+/// little work to pay for the handoff and runs on the coordinator.
 const DRAIN_BURST: usize = 64;
 
 /// A window pushed by a [`StreamInjector`], waiting in a shard inbox.
@@ -103,6 +116,13 @@ struct Shard {
     /// writes only its own) and settled by the coordinator afterwards.
     out: Vec<Verdict>,
     inbox: AdmissionQueue<Admission>,
+}
+
+impl Shard {
+    /// Windows routed here and not yet retired: pending + in flight.
+    fn load(&self) -> usize {
+        self.mux.pending() + self.mux.in_flight()
+    }
 }
 
 impl Clone for Shard {
@@ -164,7 +184,8 @@ impl StreamInjector {
 /// `N` shard-owned [`StreamMux`]es behind one mux-shaped front: same
 /// `submit`/`tick_into`/`drain` surface, verdicts bit-identical to
 /// serial classification, per-stream delivery in submission order, and
-/// every loaded shard advanced in parallel on the worker pool.
+/// every loaded shard advanced in parallel on the worker pool during
+/// `drain` bursts.
 ///
 /// See the [module docs](self) for the admission/steal protocol.
 #[derive(Debug, Clone)]
@@ -185,6 +206,8 @@ pub struct ShardedStreamMux {
     rng: u64,
     next_seq: u64,
     steals: u64,
+    /// Rounds dispatched to the worker pool.
+    parallel_rounds: u64,
     /// Admitted windows later evicted by `DropOldest` global
     /// backpressure (charged to the stream that lost its window).
     evicted: u64,
@@ -271,6 +294,7 @@ impl ShardedStreamMux {
             rng,
             next_seq: 0,
             steals: 0,
+            parallel_rounds: 0,
             evicted: 0,
             evicted_by_stream: HashMap::new(),
             refused: 0,
@@ -407,7 +431,8 @@ impl ShardedStreamMux {
 
     /// Enqueues one window, exactly like [`StreamMux::submit`] but with
     /// the backpressure bound applied across all shards and the window
-    /// routed to the least-loaded shard. An out-of-vocabulary window is
+    /// routed fill-first: to the lowest-index shard with a free lane,
+    /// else the least-loaded one. An out-of-vocabulary window is
     /// refused and tallied ([`rejected_for`](Self::rejected_for)) — a
     /// typed rejection at the coordinator, never a panic on a shard
     /// thread where it would take every co-scheduled stream's windows
@@ -425,7 +450,7 @@ impl ShardedStreamMux {
         if self.pending() >= self.max_pending && !self.make_room(stream) {
             return false;
         }
-        let target = self.least_loaded();
+        let target = self.route();
         let mut buf = self.shards[target].mux.lease_buf();
         buf.clear();
         buf.extend_from_slice(window);
@@ -434,9 +459,9 @@ impl ShardedStreamMux {
     }
 
     /// Runs one coordinator round — flush, inbox drain, rebalance, one
-    /// tick on every loaded shard (in parallel when more than one is
-    /// loaded), settle — appending released verdicts to `out` and
-    /// returning how many were appended.
+    /// tick on every loaded shard (on the coordinator thread: one tick
+    /// is less work than a pool handoff), settle — appending released
+    /// verdicts to `out` and returning how many were appended.
     pub fn tick_into(&mut self, out: &mut Vec<Verdict>) -> usize {
         let before = out.len();
         self.round(out, 1);
@@ -491,7 +516,7 @@ impl ShardedStreamMux {
     }
 
     /// Aggregated counters across shards plus coordinator-level drops
-    /// and steals. Occupancy is lane-step-weighted
+    /// steals and pool-dispatched rounds. Occupancy is lane-step-weighted
     /// (`Σ occupied / Σ ticks·width`); latency percentiles merge every
     /// shard's recent-retirement samples; `ticks` sums shard ticks
     /// (lane sweeps executed, wherever they ran).
@@ -538,12 +563,14 @@ impl ShardedStreamMux {
             forced_screen: per.iter().map(|s| s.forced_screen).sum(),
             screen_only_ticks: per.iter().map(|s| s.screen_only_ticks).sum(),
             steals: self.steals,
+            parallel_rounds: self.parallel_rounds,
             shards: self.shards.len() as u64,
         }
     }
 
-    /// Each shard's own counters (every snapshot reports `shards: 1`
-    /// and `steals: 0` — steals are coordinator events).
+    /// Each shard's own counters (every snapshot reports `shards: 1`,
+    /// `steals: 0` and `parallel_rounds: 0` — those are coordinator
+    /// events).
     pub fn shard_stats(&self) -> Vec<MuxStats> {
         self.shards.iter().map(|s| s.mux.stats()).collect()
     }
@@ -652,26 +679,36 @@ impl ShardedStreamMux {
         *self.rejected_by_stream.entry(stream).or_insert(0) += 1;
     }
 
-    /// The shard to route the next admission to: least (pending +
-    /// in-flight), ties to the lowest index — deterministic.
-    fn least_loaded(&self) -> usize {
+    /// The shard to route the next admission to, fill-first: the
+    /// lowest-index shard whose load (pending + in-flight) is below its
+    /// width; when every shard is full, the least-loaded one (ties to
+    /// the lowest index). Deterministic either way.
+    fn route(&self) -> usize {
         self.shards
             .iter()
-            .enumerate()
-            .min_by_key(|(i, s)| (s.mux.pending() + s.mux.in_flight(), *i))
-            .map(|(i, _)| i)
-            .expect("at least one shard")
+            .position(|s| s.load() < s.mux.width())
+            .unwrap_or_else(|| {
+                self.shards
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(i, s)| (s.load(), i))
+                    .map(|(i, _)| i)
+                    .expect("at least one shard")
+            })
     }
 
     /// One coordinator round: flush released verdicts, drain producer
     /// inboxes, rebalance, advance every loaded shard `ticks` ticks,
-    /// settle the retirements, flush again.
+    /// settle the retirements, flush again. Shards advance in parallel
+    /// on the pool only for multi-tick bursts with more than one shard
+    /// loaded; anything less runs on the coordinator thread.
     fn round(&mut self, out: &mut Vec<Verdict>, ticks: usize) {
         self.flush_ready(out);
         self.drain_inboxes();
         self.rebalance();
         let loaded = self.shards.iter().filter(|s| !s.mux.is_idle()).count();
-        if loaded > 1 && WorkerPool::global().threads() > 1 {
+        if ticks > 1 && loaded > 1 && WorkerPool::global().threads() > 1 {
+            self.parallel_rounds += 1;
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = self
                 .shards
                 .iter_mut()
@@ -708,7 +745,7 @@ impl ShardedStreamMux {
     }
 
     /// Drains every producer inbox through the normal admission path
-    /// (global backpressure, sequencing, least-loaded routing). The
+    /// (global backpressure, sequencing, fill-first routing). The
     /// injected buffer is adopted directly — no copy; it joins the
     /// target shard's buffer pool at retirement.
     fn drain_inboxes(&mut self) {
@@ -729,37 +766,40 @@ impl ShardedStreamMux {
                 if self.pending() >= self.max_pending && !self.make_room(m.stream) {
                     continue;
                 }
-                let target = self.least_loaded();
+                let target = self.route();
                 self.enqueue(target, m.stream, m.at_call, m.window);
             }
             self.inject_scratch = msgs;
         }
     }
 
-    /// Moves pending windows from loaded shards to shards with spare
-    /// lane capacity until loads are balanced (difference ≤ 1) or no
-    /// thief has room. Runs only on the coordinator between tick
-    /// rounds, so the steal schedule never races shard threads.
+    /// Moves pending windows from overflowing shards (more windows than
+    /// lanes) to shards with spare lane capacity until no victim is at
+    /// least two loads above the thief, or no thief has room. Runs only
+    /// on the coordinator between tick rounds, so the steal schedule
+    /// never races shard threads.
     fn rebalance(&mut self) {
         if self.shards.len() < 2 {
             return;
         }
-        let load = |s: &Shard| s.mux.pending() + s.mux.in_flight();
         loop {
             let thief = self
                 .shards
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| load(s) < s.mux.width())
-                .min_by_key(|&(i, s)| (load(s), i));
-            let Some((t, t_load)) = thief.map(|(i, s)| (i, load(s))) else {
+                .filter(|(_, s)| s.load() < s.mux.width())
+                .min_by_key(|&(i, s)| (s.load(), i));
+            let Some((t, t_load)) = thief.map(|(i, s)| (i, s.load())) else {
                 break;
             };
             let eligible: Vec<usize> = self
                 .shards
                 .iter()
                 .enumerate()
-                .filter(|&(i, s)| i != t && s.mux.pending() > 0 && load(s) > t_load + 1)
+                // Overflow only (`load > width` implies pending work): a
+                // shard whose windows all fit its lanes keeps them, so
+                // fill-first packing survives the rebalance.
+                .filter(|&(i, s)| i != t && s.load() > s.mux.width() && s.load() > t_load + 1)
                 .map(|(i, _)| i)
                 .collect();
             if eligible.is_empty() {
@@ -769,7 +809,7 @@ impl ShardedStreamMux {
                 StealPolicy::Deterministic => eligible
                     .iter()
                     .copied()
-                    .max_by_key(|&i| (load(&self.shards[i]), std::cmp::Reverse(i)))
+                    .max_by_key(|&i| (self.shards[i].load(), std::cmp::Reverse(i)))
                     .expect("eligible is non-empty"),
                 StealPolicy::Seeded(_) => {
                     let k = (self.next_rand() % eligible.len() as u64) as usize;
@@ -980,6 +1020,71 @@ mod tests {
         // Work actually ran on both shards.
         for (i, s) in mux.shard_stats().iter().enumerate() {
             assert!(s.verdicts > 0, "shard {i} retired nothing");
+        }
+    }
+
+    #[test]
+    fn low_load_packs_into_one_shard() {
+        // Fill-first routing: while shard 0 has a free lane, every
+        // window lands there and shard 1 never sweeps its lanes.
+        let e = engine(9);
+        for n in 1..=4usize {
+            let mut mux = sharded(e.clone(), 2, 4);
+            for k in 0..n {
+                mux.submit(k as u64, k, &seq(5 + 7 * k, k));
+            }
+            let mut verdicts = Vec::new();
+            while !mux.is_idle() {
+                mux.tick_into(&mut verdicts);
+            }
+            assert_eq!(verdicts.len(), n);
+            let per = mux.shard_stats();
+            assert_eq!(per[0].verdicts, n as u64, "{n} windows");
+            assert_eq!(per[1].ticks, 0, "{n} windows: shard 1 stayed idle");
+            assert_eq!(mux.stats().steals, 0, "{n} windows");
+        }
+        // Past one shard's width the overflow spills to the next shard.
+        let mut mux = sharded(e, 2, 4);
+        for k in 0..9u64 {
+            mux.submit(k, k as usize, &seq(6, k as usize));
+        }
+        assert_eq!(mux.drain().len(), 9);
+        for (i, s) in mux.shard_stats().iter().enumerate() {
+            assert!(s.verdicts > 0, "shard {i} retired nothing");
+        }
+    }
+
+    #[test]
+    fn single_tick_rounds_stay_on_the_coordinator() {
+        let e = engine(4);
+        let windows: Vec<Vec<usize>> = (0..12).map(|k| seq(4 + (k * 11) % 30, k)).collect();
+        let mut mux = sharded(e.clone(), 2, 2);
+        for (k, w) in windows.iter().enumerate() {
+            mux.submit(k as u64, k, w);
+        }
+        let mut verdicts = Vec::new();
+        while !mux.is_idle() {
+            mux.tick_into(&mut verdicts);
+        }
+        assert_eq!(verdicts.len(), windows.len());
+        // Both shards were loaded, yet no one-tick round crossed threads.
+        for (i, s) in mux.shard_stats().iter().enumerate() {
+            assert!(s.ticks > 0, "shard {i} never ticked");
+            assert_eq!(s.parallel_rounds, 0);
+        }
+        assert_eq!(mux.stats().parallel_rounds, 0, "tick rounds ran inline");
+        // A drain of an over-width load scatters its bursts to the pool
+        // (when the pool has more than one thread to scatter to).
+        let mut mux = sharded(e, 2, 2);
+        for (k, w) in windows.iter().enumerate() {
+            mux.submit(k as u64, k, w);
+        }
+        assert_eq!(mux.drain().len(), windows.len());
+        let parallel = mux.stats().parallel_rounds;
+        if WorkerPool::global().threads() > 1 {
+            assert!(parallel > 0, "drain bursts never reached the pool");
+        } else {
+            assert_eq!(parallel, 0);
         }
     }
 

@@ -237,6 +237,11 @@ pub struct MuxStats {
     /// coordinator events).
     #[serde(default)]
     pub steals: u64,
+    /// Coordinator rounds whose shard ticks were dispatched to the
+    /// worker pool instead of running on the coordinator thread (always
+    /// 0 for a standalone mux, and for a shard's own snapshot).
+    #[serde(default)]
+    pub parallel_rounds: u64,
     /// Shards aggregated into this snapshot (1 for a standalone mux or
     /// a single shard's snapshot).
     #[serde(default = "MuxStats::one_shard")]
@@ -655,6 +660,7 @@ impl StreamMux {
             forced_screen: self.forced_screen,
             screen_only_ticks: self.screen_only_ticks,
             steals: 0,
+            parallel_rounds: 0,
             shards: MuxStats::one_shard(),
         }
     }
@@ -1749,6 +1755,7 @@ mod tests {
         assert_eq!(stats.refused, 0);
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.shards, 1);
+        assert_eq!(stats.parallel_rounds, 0);
     }
 
     #[test]

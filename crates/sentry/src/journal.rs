@@ -293,24 +293,28 @@ impl Journal {
         self.syncs
     }
 
-    fn frame_into(pending: &mut Vec<u8>, rtype: u8, body: &[u8]) {
-        let len = body.len() + 1;
+    /// Frames one record in place at the end of `pending`: a zeroed
+    /// header, the record type, the body `encode` appends, then `len`
+    /// and the CRC back-patched over the written slice — no per-record
+    /// buffer.
+    fn frame_into(pending: &mut Vec<u8>, rtype: u8, encode: impl FnOnce(&mut Vec<u8>)) {
+        let start = pending.len();
+        pending.extend_from_slice(&[0; 8]);
+        pending.push(rtype);
+        encode(pending);
+        let payload = &pending[start + 8..];
+        let len = payload.len();
         debug_assert!(len <= MAX_RECORD_LEN, "record exceeds MAX_RECORD_LEN");
-        let mut payload = Vec::with_capacity(len);
-        payload.push(rtype);
-        payload.extend_from_slice(body);
-        pending.extend_from_slice(&(len as u32).to_le_bytes());
-        pending.extend_from_slice(&crc32(&payload).to_le_bytes());
-        pending.extend_from_slice(&payload);
+        let crc = crc32(payload);
+        pending[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        pending[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Appends one event record. Buffered; becomes durable at the next
     /// sync point (every `sync_every` events, any incident, `sync`, or
     /// clean drop).
     pub fn append_event(&mut self, event: &ProcessEvent) -> Result<(), JournalError> {
-        let mut body = Vec::with_capacity(32);
-        encode_payload(event, &mut body);
-        Self::frame_into(&mut self.pending, 0, &body);
+        Self::frame_into(&mut self.pending, 0, |out| encode_payload(event, out));
         self.pending_events += 1;
         if self.pending_events >= self.sync_every {
             self.sync()?;
@@ -323,7 +327,9 @@ impl Journal {
     pub fn append_incident(&mut self, incident: &Incident) -> Result<(), JournalError> {
         let json =
             serde_json::to_string(incident).map_err(|e| JournalError::Encode(e.to_string()))?;
-        Self::frame_into(&mut self.pending, 1, json.as_bytes());
+        Self::frame_into(&mut self.pending, 1, |out| {
+            out.extend_from_slice(json.as_bytes());
+        });
         self.durable_incidents += 1;
         self.sync()
     }
@@ -549,6 +555,33 @@ mod tests {
         assert_eq!(
             back, b"precious user data, definitely not a journal",
             "refusing must not modify the file"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn event_record_bytes_follow_the_documented_layout() {
+        let path = tmp("layout");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (mut j, _) = Journal::open(&path, JournalConfig::default()).unwrap();
+            j.append_event(&ProcessEvent::api(0x0102_0304_0506_0708, 0xA1B2_C3D4, 9))
+                .unwrap();
+        }
+        // rtype 0, then the wire payload: tag 1 (API call), t_us u64 LE,
+        // pid u32 LE, call u32 LE.
+        let mut payload = vec![0u8, 1];
+        payload.extend_from_slice(&[8, 7, 6, 5, 4, 3, 2, 1]);
+        payload.extend_from_slice(&[0xD4, 0xC3, 0xB2, 0xA1]);
+        payload.extend_from_slice(&[9, 0, 0, 0]);
+        let mut want = JOURNAL_MAGIC.to_vec();
+        want.extend_from_slice(&[18, 0, 0, 0]);
+        want.extend_from_slice(&crc32(&payload).to_le_bytes());
+        want.extend_from_slice(&payload);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            want,
+            "[len][crc][rtype][body]"
         );
         let _ = std::fs::remove_file(&path);
     }
